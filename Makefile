@@ -49,8 +49,7 @@ conformance: ## shared battery-model contract across all tiers + chemistry fuzz 
 fuzz-smoke: ## short fuzz pass over the aging-metric tracker
 	$(GO) test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 
-chaos-smoke: ## cluster kill/restart chaos + degraded-mode scenarios under -race
-	$(GO) test -race -count=1 -run 'TestClusterChaos|TestFailPending|TestChaosReRegistration' ./internal/cluster/
+chaos-smoke: ## faulted golden trace + degraded-mode scenarios
 	$(GO) test -count=1 -run 'TestGoldenTraceFaulted$$|TestDegradedModeScenarios' ./internal/sim/
 
 checkpoint-smoke: ## checkpoint a baatsim run mid-flight, resume it, diff the reports

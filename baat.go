@@ -18,8 +18,6 @@
 //   - the simulated green-datacenter prototype of §V: solar supply, six
 //     workloads, VMs with migration, DVFS-capable servers, per-server
 //     battery nodes, and a discrete-time engine (Simulator);
-//   - a TCP control plane mirroring the prototype's controller/sensor
-//     architecture (Controller, Agent);
 //   - an experiment harness regenerating every evaluation figure and table
 //     (Experiments, RunExperiment, RunAllExperiments).
 //

@@ -45,7 +45,6 @@ echo "== fuzz smoke =="
 go test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 
 echo "== chaos smoke =="
-go test -race -count=1 -run 'TestClusterChaos|TestFailPending|TestChaosReRegistration' ./internal/cluster/
 go test -count=1 -run 'TestGoldenTraceFaulted$|TestDegradedModeScenarios' ./internal/sim/
 
 echo "== checkpoint smoke =="

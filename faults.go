@@ -19,7 +19,7 @@ type FaultKind = faults.Kind
 
 // The injectable fault kinds: sensor-chain corruption (the controller's
 // view goes bad, the physics stay truthful), battery degradation shocks,
-// power-supply disturbances, and cluster agent disconnects.
+// power-supply disturbances, and agent disconnects (no effect; see below).
 const (
 	// SensorStuck repeats the last delivered reading.
 	SensorStuck = faults.SensorStuck
@@ -39,8 +39,8 @@ const (
 	PVDropout = faults.PVDropout
 	// UtilityBrownout gates the utility-backup path for a window.
 	UtilityBrownout = faults.UtilityBrownout
-	// AgentDisconnect marks cluster-agent down windows (consumed by chaos
-	// harnesses; the simulation engine ignores it).
+	// AgentDisconnect has no consumer; it is kept so the chaos profile's
+	// RNG schedule, and with it the faulted golden trace, stays fixed.
 	AgentDisconnect = faults.AgentDisconnect
 )
 

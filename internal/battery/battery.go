@@ -180,8 +180,7 @@ func (d Degradation) Health() float64 {
 const EndOfLifeHealth = 0.8
 
 // Pack is a single battery unit with live electrical state. Pack is not safe
-// for concurrent use; in the simulator each node owns its pack, and the
-// cluster control plane serializes access.
+// for concurrent use; in the simulator each node owns its pack.
 type Pack struct {
 	spec Spec
 
@@ -262,12 +261,14 @@ type settings struct {
 	capScale float64
 	resScale float64
 	soc      float64
-	temp     units.Celsius
 	rec      *telemetry.Recorder
 }
 
+// initialTemperature is every new pack's case temperature.
+const initialTemperature units.Celsius = 25
+
 func defaultSettings() settings {
-	return settings{capScale: 1, resScale: 1, soc: 1, temp: 25}
+	return settings{capScale: 1, resScale: 1, soc: 1}
 }
 
 // counters resolves the telemetry handles once at construction so the
@@ -301,11 +302,6 @@ func WithManufacturingVariation(capScale, resScale float64) Option {
 			s.resScale = resScale
 		}
 	}
-}
-
-// WithInitialTemperature sets the starting case temperature (default 25 °C).
-func WithInitialTemperature(t units.Celsius) Option {
-	return func(s *settings) { s.temp = t }
 }
 
 // WithRecorder instruments the model's step loop: discharge, charge, and
@@ -350,7 +346,7 @@ func NewInto(p *Pack, spec Spec, opts ...Option) error {
 		capacityScale:   st.capScale,
 		resistanceScale: st.resScale,
 		soc:             st.soc,
-		temp:            st.temp,
+		temp:            initialTemperature,
 	}
 	p.telDischarge, p.telCharge, p.telRest, p.telCutoff = st.counters()
 	p.thermalTau = spec.ThermalCapacity * spec.ThermalResistance

@@ -87,7 +87,7 @@ func NewLinearInto(l *Linear, spec Spec, opts ...Option) error {
 		capacityScale:   st.capScale,
 		resistanceScale: st.resScale,
 		soc:             st.soc,
-		temp:            st.temp,
+		temp:            initialTemperature,
 	}
 	l.telDischarge, l.telCharge, l.telRest, l.telCutoff = st.counters()
 	return nil

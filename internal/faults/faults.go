@@ -17,8 +17,8 @@
 //     as irreversible damage;
 //   - power faults starve the supply side: PV dropout/derating windows and
 //     utility brownouts that disable the grid-backup path;
-//   - cluster faults (agent disconnect windows) drive the control-plane
-//     chaos tests, exercising reconnect/backoff under a fixed schedule.
+//   - agent-disconnect windows have no effect on the simulation; the kind
+//     is kept so the chaos profile's RNG schedule stays fixed.
 //
 // Rules are either scheduled (Day/At/Duration pin an absolute window on the
 // simulation clock) or probabilistic (a per-tick trigger probability with a
@@ -67,9 +67,9 @@ const (
 	// nodes while active (only observable with node.Config.UtilityBackup).
 	UtilityBrownout Kind = "utility_brownout"
 
-	// AgentDisconnect marks the targeted cluster agent down while active.
-	// The simulation engine ignores it; the cluster chaos harness reads it
-	// to decide which agent connections to sever each synthetic tick.
+	// AgentDisconnect has no consumer: activating it changes nothing in the
+	// simulation. It stays so the chaos profile's rule keeps drawing from
+	// the injector's RNG stream, which pins the faulted golden trace.
 	AgentDisconnect Kind = "agent_disconnect"
 )
 
@@ -271,9 +271,6 @@ type NodeFault struct {
 	TargetHealth float64
 	// UtilityDown disables the node's grid-backup path this tick.
 	UtilityDown bool
-	// AgentDown marks the node's cluster agent severed this tick (consumed
-	// by the chaos harness, ignored by the simulation engine).
-	AgentDown bool
 }
 
 // Injected records one fault activation for telemetry.

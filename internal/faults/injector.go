@@ -218,8 +218,6 @@ func (inj *Injector) applyWindow(k Kind, mag float64, node int) {
 			}
 		case UtilityBrownout:
 			nf.UtilityDown = true
-		case AgentDisconnect:
-			nf.AgentDown = true
 		}
 	}
 	if node >= 0 {
@@ -291,6 +289,3 @@ func (inj *Injector) PVOutages(day int) []Outage {
 	}
 	return out
 }
-
-// NodeCount returns the fleet size the injector was compiled for.
-func (inj *Injector) NodeCount() int { return inj.nodes }

@@ -39,8 +39,8 @@ func TestNaNSensorQuarantinesImmediately(t *testing.T) {
 	if !n.MetricsSuspect() {
 		t.Error("node not quarantined after a rejected sample")
 	}
-	// The power table must never hold a NaN row (it is JSON-marshaled by
-	// the cluster snapshot path); the rejected tick records a sanitized
+	// The power table must never hold a NaN row (it is JSON-marshaled in
+	// checkpoints); the rejected tick records a sanitized
 	// bad-quality row instead.
 	last, ok := n.PowerTable().Last()
 	if !ok {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/green-dc/baat/internal/aging"
 	"github.com/green-dc/baat/internal/battery"
-	"github.com/green-dc/baat/internal/core"
 	"github.com/green-dc/baat/internal/experiments"
 	"github.com/green-dc/baat/internal/sim"
 	"github.com/green-dc/baat/internal/solar"
@@ -24,10 +23,6 @@ const suiteFleetNodes = 64
 // ROADMAP's scaling axis targets. One simulated day at this size is
 // seconds, not milliseconds, so the suite runs exactly one op of it.
 const suiteWarehouseNodes = 65536
-
-// suiteTick is the simulated tick the fleet-stepping entries use; it sets
-// the ticks-per-day factor in the node-steps/s derivation.
-const suiteTick = 5 * time.Minute
 
 // suiteSweepID is the experiment the sweep benchmarks run in quick mode:
 // fig18 fans four policy kinds across the variant pool, so the parallel
@@ -66,7 +61,7 @@ func RunSuite() (Report, error) {
 			return
 		}
 		e := &r.Entries[len(r.Entries)-1]
-		ticksPerDay := float64(24 * time.Hour / suiteTick)
+		ticksPerDay := float64(24 * time.Hour / sim.BenchFleetTick)
 		e.NodeStepsPerSec = float64(nodes) * ticksPerDay * 1e9 / e.NsPerOp
 	}
 
@@ -115,42 +110,12 @@ func RunSuite() (Report, error) {
 	return r, err
 }
 
-// fleetStepBench mirrors internal/sim's BenchmarkFleetStep: one simulated
-// day per op on a consolidated fleet, with the one-off placement pass
-// warmed up outside the timer so the steady-state step path is what's
-// measured. Warehouse sizes provision services directly (the policy's
-// placement scan is O(nodes) per VM) and trim the per-node power-table
-// history so the row slab stays within a sane footprint.
+// fleetStepBench times one cloudy day per op on sim.BenchFleet's fleet,
+// the same fleet internal/sim's BenchmarkFleetStep steps.
 func fleetStepBench(nodes, workers int, model battery.Kind) func(b *testing.B) {
 	return func(b *testing.B) {
-		cfg := sim.DefaultConfig()
-		cfg.Policy = core.PolicySpec{Name: "ebuff"}
-		cfg.Nodes = nodes
-		cfg.Workers = workers
-		cfg.Tick = suiteTick
-		ncfg, err := cfg.Node.WithBatteryModel(model)
+		s, err := sim.BenchFleet(nodes, workers, model)
 		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Node = ncfg
-		cfg.JobsPerDay = 0
-		cfg.ServiceVMs = nodes / 4
-		cfg.Solar.Scale = 1.5 * float64(nodes) / 6
-		warehouse := nodes >= 16384
-		if warehouse {
-			cfg.ServiceVMs = 0 // provisioned directly below
-			cfg.Node.TableCapacity = 64
-		}
-		s, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if warehouse {
-			if err := s.ProvisionServices(nodes / 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := s.RunDay(solar.Sunny); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

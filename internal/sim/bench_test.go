@@ -18,60 +18,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/green-dc/baat/internal/core"
+	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/solar"
 )
 
 // longFleet gates the warehouse-upper-bound size: a million nodes is a
 // multi-minute benchmark, opt-in via `go test -bench=FleetStep -long`.
 var longFleet = flag.Bool("long", false, "include the 1M-node fleet benchmark size")
-
-// largeFleetNodes is where benchFleet switches to warehouse provisioning:
-// direct service attachment instead of the O(VMs × nodes) placement pass,
-// and a trimmed per-node power-table history so the row slab stays within
-// a sane footprint (the default 2048-row table is sized for week-long
-// six-node traces, not 65k-node step benchmarks).
-const largeFleetNodes = 16384
-
-// benchFleet builds a fleet where one node in four hosts a persistent
-// service, so the timed region mixes the powered and scheduled-off step
-// paths like a real consolidated datacenter.
-func benchFleet(b *testing.B, nodes, workers int) *Simulator {
-	b.Helper()
-	cfg := DefaultConfig()
-	cfg.Policy = core.PolicySpec{Name: "ebuff"}
-	cfg.Nodes = nodes
-	cfg.Workers = workers
-	cfg.Tick = 5 * time.Minute
-	cfg.JobsPerDay = 0
-	cfg.ServiceVMs = nodes / 4
-	cfg.Solar.Scale = 1.5 * float64(nodes) / 6
-	if nodes >= largeFleetNodes {
-		cfg.ServiceVMs = 0 // attached directly below
-		cfg.Node.TableCapacity = 64
-		if nodes >= 1<<20 {
-			cfg.Node.TableCapacity = 16
-		}
-	}
-	s, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if nodes >= largeFleetNodes {
-		// Same workload mix the policy would produce — one service VM per
-		// four nodes, spread across the fleet — without the quadratic
-		// placement pass, which at 65k+ nodes would dominate setup.
-		if err := s.ProvisionServices(nodes / 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Warm up one day outside the timer so service placement (the one-off
-	// O(VMs × nodes) scheduling pass) stays out of the step measurement.
-	if _, err := s.RunDay(solar.Sunny); err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
 
 func BenchmarkFleetStep(b *testing.B) {
 	workerCounts := []int{1}
@@ -86,8 +39,11 @@ func BenchmarkFleetStep(b *testing.B) {
 		for _, workers := range workerCounts {
 			name := fmt.Sprintf("nodes=%d/workers=%d", nodes, workers)
 			b.Run(name, func(b *testing.B) {
-				s := benchFleet(b, nodes, workers)
-				ticksPerDay := int(24 * time.Hour / s.cfg.Tick)
+				s, err := BenchFleet(nodes, workers, battery.KindLeadAcid)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ticksPerDay := int(24 * time.Hour / BenchFleetTick)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

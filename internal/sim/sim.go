@@ -406,7 +406,8 @@ type Simulator struct {
 	pctx core.Context
 
 	// Telemetry handles captured at construction (nil no-ops without a
-	// recorder); telSoC mirrors socHist's seven Fig 19 bins.
+	// recorder); telSoC mirrors socHist's seven Fig 19 bins, copied
+	// through the reused telSoCBins each in-window tick.
 	tel            *telemetry.Recorder
 	telTicks       *telemetry.Counter
 	telDays        *telemetry.Counter
@@ -415,6 +416,7 @@ type Simulator struct {
 	telDeferred    *telemetry.Counter
 	telEOL         *telemetry.Counter
 	telSoC         *telemetry.Histogram
+	telSoCBins     []int64
 	telControl     *telemetry.Histogram
 	telClock       *telemetry.Gauge
 	telMinHealth   *telemetry.Gauge
@@ -908,14 +910,11 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 			if err := s.socHist.Merge(s.fleetSum.Hist); err != nil {
 				return DayStats{}, err
 			}
-			if s.tel != nil {
-				// The telemetry histogram uses right-closed buckets where
-				// stats uses left-closed bins, so it cannot be back-filled
-				// from the shard bins; it keeps its own per-sample pass,
-				// gated on a recorder actually being attached.
-				for _, n := range s.nodes {
-					s.telSoC.Observe(n.Battery().SoC())
-				}
+			if s.telSoC != nil {
+				// The same merged bins feed telemetry; every node was
+				// sampled, so SoCSum is the sum over these samples.
+				s.telSoCBins = s.fleetSum.Hist.CountsInto(s.telSoCBins)
+				s.telSoC.AddBinned(s.telSoCBins, s.fleetSum.SoCSum)
 			}
 			sinceControl += s.cfg.Tick
 			if sinceControl >= s.cfg.ControlPeriod {

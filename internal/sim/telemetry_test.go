@@ -148,6 +148,40 @@ func TestTelemetryEngineCounters(t *testing.T) {
 	}
 }
 
+// TestTelemetrySoCMatchesFig19Bins pins the telemetry SoC histogram to the
+// engine's own Fig 19 bins: it is fed from the same shard-merged counts, so
+// bucket i must equal socHist bin i exactly, and the +Inf bucket stays
+// empty.
+func TestTelemetrySoCMatchesFig19Bins(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	s := newSim(t, "baat", func(c *Config) { c.Telemetry = rec })
+	if s.cfg.Nodes != 6 {
+		t.Fatalf("nodes = %d, want the 6-node prototype", s.cfg.Nodes)
+	}
+	if _, err := s.RunDay(solar.Cloudy); err != nil {
+		t.Fatal(err)
+	}
+	soc := rec.Snapshot().Histograms[telemetry.MetricSoC]
+	bins := s.socHist.Counts()
+	if len(soc.Counts) != len(bins)+1 {
+		t.Fatalf("telemetry has %d buckets, want %d bins + Inf", len(soc.Counts), len(bins))
+	}
+	for i, want := range bins {
+		if soc.Counts[i] != want {
+			t.Errorf("bucket %d = %d, want Fig 19 bin %d", i, soc.Counts[i], want)
+		}
+	}
+	if inf := soc.Counts[len(bins)]; inf != 0 {
+		t.Errorf("+Inf bucket = %d, want 0", inf)
+	}
+	if soc.Count != s.socHist.Total() {
+		t.Errorf("count = %d, want %d", soc.Count, s.socHist.Total())
+	}
+	if soc.Sum <= 0 || soc.Sum > float64(soc.Count) {
+		t.Errorf("sum = %v, want in (0, %d]", soc.Sum, soc.Count)
+	}
+}
+
 // TestTelemetryNilRecorder ensures a full run with no recorder works and
 // allocates no telemetry state.
 func TestTelemetryNilRecorder(t *testing.T) {

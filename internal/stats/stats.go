@@ -90,6 +90,13 @@ func (h *Histogram) Counts() []int64 {
 	return append([]int64(nil), h.counts...)
 }
 
+// CountsInto copies the per-bin counts into dst's backing array, growing
+// it only if too short, and returns the result — Counts without the
+// allocation for callers that read the bins every tick.
+func (h *Histogram) CountsInto(dst []int64) []int64 {
+	return append(dst[:0], h.counts...)
+}
+
 // Fractions returns per-bin probability mass (zeros when empty).
 func (h *Histogram) Fractions() []float64 {
 	out := make([]float64, len(h.counts))

@@ -44,59 +44,39 @@ const (
 	MetricNodeSensorMissed    = "baat_node_sensor_missed_total"
 	MetricFleetSuspectNodes   = "baat_fleet_suspect_nodes"
 	MetricDegradedTransitions = "baat_sim_degraded_transitions_total"
-
-	// Cluster control plane (internal/cluster).
-	MetricClusterReportsSent     = "baat_cluster_reports_sent_total"
-	MetricClusterReportsReceived = "baat_cluster_reports_received_total"
-	MetricClusterCommandsSent    = "baat_cluster_commands_sent_total"
-	MetricClusterAcksOK          = "baat_cluster_acks_ok_total"
-	MetricClusterAcksRejected    = "baat_cluster_acks_rejected_total"
-	MetricClusterTimeouts        = "baat_cluster_command_timeouts_total"
-	MetricClusterReconnects      = "baat_cluster_reconnects_total"
-	MetricClusterSendErrors      = "baat_cluster_send_errors_total"
-	MetricClusterAgents          = "baat_cluster_connected_agents"
 )
 
 // helpText is the HELP line served for each canonical metric. Metrics
 // registered under ad-hoc names are exposed without a HELP line.
 var helpText = map[string]string{
-	MetricSimTicks:               "Simulation ticks stepped across all days.",
-	MetricSimDays:                "Simulated days completed.",
-	MetricSimJobsSubmitted:       "Workload VMs enqueued (services and batch jobs).",
-	MetricSimPlacements:          "VM placements accepted by the policy.",
-	MetricSimPlacementsDeferred:  "VM placements deferred for lack of capacity (retried each control period).",
-	MetricSimClockSeconds:        "Simulated clock in seconds.",
-	MetricSimControlSeconds:      "Wall-clock duration of one policy Control invocation in seconds.",
-	MetricSoC:                    "Per-node state-of-charge samples inside the operating window (the seven bins of Fig 19).",
-	MetricFleetMinHealth:         "Lowest battery health across the fleet (end-of-life at 0.8, DSN'15 §II-B).",
-	MetricFleetAvgSoC:            "Mean battery state of charge across the fleet.",
-	MetricMigrations:             "VM migrations issued by the power-management policy (Figs 8/9).",
-	MetricMigrationFailures:      "VM migrations that failed and rolled back.",
-	MetricDVFSCaps:               "Downward DVFS steps applied to protect at-risk batteries (Fig 9).",
-	MetricDVFSRestores:           "Upward DVFS steps after battery recovery past trigger plus hysteresis.",
-	MetricDoDAdjusts:             "Planned-aging DoD-goal recomputations (Eq 7).",
-	MetricDoDGoal:                "Latest fleet-average planned-aging DoD goal (Eq 7).",
-	MetricBatteryDischargeSteps:  "Battery pack discharge steps executed.",
-	MetricBatteryChargeSteps:     "Battery pack charge steps executed.",
-	MetricBatteryRestSteps:       "Battery pack rest (idle) steps executed.",
-	MetricBatteryCutoffs:         "Discharge steps truncated by the under-voltage/empty protection cutoff (§II-B).",
-	MetricBatteryEOL:             "Batteries that crossed the 80% health end-of-life line.",
-	MetricNodeDarkTicks:          "Ticks a server spent dark because neither solar, battery, nor utility could carry it (§VI-E).",
-	MetricNodeUtilityTicks:       "Ticks a server drew utility power (UtilityBackup only).",
-	MetricFaultsInjected:         "Fault activations delivered by the deterministic injector (docs/FAULTS.md).",
-	MetricNodeSensorRejected:     "Battery sensor samples rejected as implausible by the aging tracker's input hardening.",
-	MetricNodeSensorMissed:       "Battery sensor samples lost before reaching the aging tracker (dropped readings).",
-	MetricFleetSuspectNodes:      "Nodes whose aging metrics are currently quarantined as untrustworthy.",
-	MetricDegradedTransitions:    "Node transitions into or out of degraded (metrics-suspect) mode.",
-	MetricClusterReportsSent:     "Sensor reports sent by cluster agents.",
-	MetricClusterReportsReceived: "Sensor reports received by the controller.",
-	MetricClusterCommandsSent:    "Actuation commands pushed by the controller.",
-	MetricClusterAcksOK:          "Commands acknowledged as applied.",
-	MetricClusterAcksRejected:    "Commands acknowledged as failed by the agent.",
-	MetricClusterTimeouts:        "Commands that timed out waiting for an ack.",
-	MetricClusterReconnects:      "Agent reconnects after transport failures.",
-	MetricClusterSendErrors:      "Agent transport write failures.",
-	MetricClusterAgents:          "Agents currently connected to the controller.",
+	MetricSimTicks:              "Simulation ticks stepped across all days.",
+	MetricSimDays:               "Simulated days completed.",
+	MetricSimJobsSubmitted:      "Workload VMs enqueued (services and batch jobs).",
+	MetricSimPlacements:         "VM placements accepted by the policy.",
+	MetricSimPlacementsDeferred: "VM placements deferred for lack of capacity (retried each control period).",
+	MetricSimClockSeconds:       "Simulated clock in seconds.",
+	MetricSimControlSeconds:     "Wall-clock duration of one policy Control invocation in seconds.",
+	MetricSoC:                   "Per-node state-of-charge samples inside the operating window (the seven bins of Fig 19).",
+	MetricFleetMinHealth:        "Lowest battery health across the fleet (end-of-life at 0.8, DSN'15 §II-B).",
+	MetricFleetAvgSoC:           "Mean battery state of charge across the fleet.",
+	MetricMigrations:            "VM migrations issued by the power-management policy (Figs 8/9).",
+	MetricMigrationFailures:     "VM migrations that failed and rolled back.",
+	MetricDVFSCaps:              "Downward DVFS steps applied to protect at-risk batteries (Fig 9).",
+	MetricDVFSRestores:          "Upward DVFS steps after battery recovery past trigger plus hysteresis.",
+	MetricDoDAdjusts:            "Planned-aging DoD-goal recomputations (Eq 7).",
+	MetricDoDGoal:               "Latest fleet-average planned-aging DoD goal (Eq 7).",
+	MetricBatteryDischargeSteps: "Battery pack discharge steps executed.",
+	MetricBatteryChargeSteps:    "Battery pack charge steps executed.",
+	MetricBatteryRestSteps:      "Battery pack rest (idle) steps executed.",
+	MetricBatteryCutoffs:        "Discharge steps truncated by the under-voltage/empty protection cutoff (§II-B).",
+	MetricBatteryEOL:            "Batteries that crossed the 80% health end-of-life line.",
+	MetricNodeDarkTicks:         "Ticks a server spent dark because neither solar, battery, nor utility could carry it (§VI-E).",
+	MetricNodeUtilityTicks:      "Ticks a server drew utility power (UtilityBackup only).",
+	MetricFaultsInjected:        "Fault activations delivered by the deterministic injector (docs/FAULTS.md).",
+	MetricNodeSensorRejected:    "Battery sensor samples rejected as implausible by the aging tracker's input hardening.",
+	MetricNodeSensorMissed:      "Battery sensor samples lost before reaching the aging tracker (dropped readings).",
+	MetricFleetSuspectNodes:     "Nodes whose aging metrics are currently quarantined as untrustworthy.",
+	MetricDegradedTransitions:   "Node transitions into or out of degraded (metrics-suspect) mode.",
 }
 
 // Help returns the canonical help string for a metric name ("" when the

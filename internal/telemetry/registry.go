@@ -96,6 +96,27 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// AddBinned records samples the caller has already binned: counts[i] more
+// in bucket i (counts may be shorter than the bucket list, leaving the
+// rest untouched) and sum more on the running sum. It lets the engine
+// publish its shard-merged SoC bins without a second per-sample pass.
+func (h *Histogram) AddBinned(counts []int64, sum float64) {
+	if h == nil {
+		return
+	}
+	var n int64
+	for i, c := range counts {
+		h.buckets[i].Add(c)
+		n += c
+	}
+	h.count.Add(n)
+	h.addSum(sum)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)

@@ -84,6 +84,30 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestHistogramAddBinned(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("baat_test_hist", []float64{1, 2, 3})
+	h.Observe(2.5)
+	// Two bins short of the bucket list: buckets 2 and +Inf keep their own
+	// counts.
+	h.AddBinned([]int64{3, 4}, 7.5)
+	s := h.snapshot()
+	wantCounts := []int64{3, 4, 1, 0}
+	for i, want := range wantCounts {
+		if s.Counts[i] != want {
+			t.Errorf("bucket %d = %d, want %d", i, s.Counts[i], want)
+		}
+	}
+	if s.Count != 8 {
+		t.Errorf("count = %d, want 8", s.Count)
+	}
+	if s.Sum != 10 {
+		t.Errorf("sum = %v, want 10", s.Sum)
+	}
+	var nilHist *Histogram
+	nilHist.AddBinned([]int64{1}, 1) // must not panic
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("baat_test_hist", LinearBounds(0, 1, 7))

@@ -6,8 +6,8 @@
 // The paper's entire evaluation is built on six months of battery
 // observation (DSN'15 Figs 3–10: NAT, CF, PC, DDT, DR drift, migration
 // counts, DVFS caps); this package is the simulated analogue of that
-// sensing pipeline. Policies, the simulation engine, the battery model,
-// and the cluster control plane all record through a *Recorder so that an
+// sensing pipeline. Policies, the simulation engine, and the battery model
+// all record through a *Recorder so that an
 // experiment can ask, e.g., how many migrations BAAT issued versus e-Buff
 // on an identical trace — the §VI-B comparison — straight from counters
 // instead of ad-hoc prints.
@@ -25,7 +25,7 @@
 //     allocation.
 //   - The event tracer keeps the last N structured events (migration
 //     issued, DVFS cap applied, DoD target adjusted, battery end-of-life,
-//     agent reconnect) under a mutex; events are cold-path by definition.
+//     fault injected) under a mutex; events are cold-path by definition.
 //
 // Metric and event names are centralized in names.go and documented with
 // units and paper-figure mappings in docs/OBSERVABILITY.md.

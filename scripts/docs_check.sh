@@ -4,7 +4,10 @@
 #      document is one nobody will find);
 #   2. every intra-repo markdown link in README.md and docs/*.md resolves
 #      to an existing file or directory (anchors and external URLs are
-#      out of scope).
+#      out of scope);
+#   3. every backticked internal/<pkg> or examples/<dir> path in README.md,
+#      DESIGN.md, and docs/*.md names an existing directory, so prose does
+#      not outlive a deleted package.
 # Usage: ./scripts/docs_check.sh  (from the repository root)
 set -eu
 
@@ -31,6 +34,19 @@ for md in README.md docs/*.md; do
         [ -n "$target" ] || continue
         if [ ! -e "$dir/$target" ]; then
             echo "docs-check: $md links to missing $link" >&2
+            fail=1
+        fi
+    done
+done
+
+# Pull every `code span` out of the checked set, then every internal/<pkg>
+# or examples/<dir> prefix inside it (a span may be a file path, a
+# package-qualified name, or a shell command), and require the directory.
+for md in README.md DESIGN.md docs/*.md; do
+    paths=$(grep -o '`[^`]*`' "$md" | grep -o '\(internal\|examples\)/[A-Za-z0-9_-]*' | sort -u) || true
+    for path in $paths; do
+        if [ ! -d "$path" ]; then
+            echo "docs-check: $md names missing directory $path" >&2
             fail=1
         fi
     done

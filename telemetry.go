@@ -15,7 +15,7 @@ type Recorder = telemetry.Recorder
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TelemetryEvent is one traced controller event (a migration, a DVFS cap, a
-// DoD target move, a battery end-of-life, an agent reconnect).
+// DoD target move, a battery end-of-life, a fault or degraded-mode change).
 type TelemetryEvent = telemetry.Event
 
 // TelemetryServer is a running /metrics + /events + pprof HTTP listener.
